@@ -51,42 +51,6 @@ __all__ += [
     "run_jobs",
 ]
 
-from .journal import (  # noqa: E402
-    Journal,
-    JournalReplay,
-    read_checkpoint,
-    replay_journal,
-    write_checkpoint,
-)
-from .faults import (  # noqa: E402
-    FaultSchedule,
-    FaultSpec,
-    WorkerFaultInjector,
-)
-from .service import (  # noqa: E402
-    RecoveryReport,
-    ServiceEngine,
-    SweepService,
-    service_status,
-    submit_to_inbox,
-)
-
-__all__ += [
-    "Journal",
-    "JournalReplay",
-    "read_checkpoint",
-    "replay_journal",
-    "write_checkpoint",
-    "FaultSchedule",
-    "FaultSpec",
-    "WorkerFaultInjector",
-    "RecoveryReport",
-    "ServiceEngine",
-    "SweepService",
-    "service_status",
-    "submit_to_inbox",
-]
-
 from .tracestore import (  # noqa: E402
     TraceStore,
     get_trace_store,

@@ -19,6 +19,13 @@ parallel. This module is the single execution layer those drivers share:
   carries its own explicit seed so placement on workers cannot perturb
   the simulated outcome.
 
+* **Fault tolerance** — a pool worker that dies (SIGKILL, OOM kill)
+  breaks the pool; ``run`` keeps every finished result and resubmits
+  only the unfinished misses to a fresh pool, at most
+  :data:`MAX_POOL_RESTARTS` times per call before raising
+  :class:`WorkerCrashError`. Pool workers exit on their own once the
+  driver process is gone, so a killed sweep leaks no workers.
+
 * **Persistent cache** — :class:`ResultCache` memoizes every completed
   job under ``$REPRO_CACHE_DIR`` (default ``~/.cache/repro-sim``). The
   key is the SHA-256 of the job's identity: kind, benchmark, mode,
@@ -26,17 +33,18 @@ parallel. This module is the single execution layer those drivers share:
   (:meth:`repro.config.SimConfig.fingerprint`), and a code-version salt
   hashed from the package's own source files — editing the simulator
   automatically invalidates stale entries. Entries are written
-  atomically (temp file + ``os.replace``), so an interrupted sweep never
-  leaves a torn entry, and unreadable/corrupt entries are discarded and
-  recomputed rather than crashed on.
+  atomically (:mod:`repro.harness.atomic`), so an interrupted sweep
+  never leaves a torn entry, and unreadable/corrupt entries are
+  discarded and recomputed rather than crashed on.
 
 * **Resumability** — because every job is keyed independently,
   re-running a partially completed sweep re-executes only the missing
   points; everything already on disk is a cache hit.
 
 * **Observability** — :class:`EngineStats` counts jobs, cache hits,
-  executions, and wall/sim time; ``Engine.summary()`` renders the line
-  the CLI prints to stderr after ``repro-sim figure``/``report`` runs.
+  executions, pool restarts, and wall/sim time; ``Engine.summary()``
+  renders the line the CLI prints to stderr after
+  ``repro-sim figure``/``report`` runs.
   Telemetry payloads compose with the cache for free: a job whose
   config sets ``obs_level > 0`` carries its collected payload on
   ``SimResult.obs`` through the JSON round-trip, and because the cache
@@ -53,14 +61,17 @@ import json
 import os
 import pathlib
 import sys
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..config import SimConfig
 from ..stats import SimResult
 from ..workloads import DEFAULT_SEED
+from .atomic import clear_store, write_atomic
 
 #: Environment variable controlling worker-process count (default: 1).
 JOBS_ENV = "REPRO_JOBS"
@@ -68,11 +79,11 @@ JOBS_ENV = "REPRO_JOBS"
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: Set to a non-empty value to disable the on-disk cache entirely.
 NO_CACHE_ENV = "REPRO_NO_CACHE"
-#: Point at a service directory to route the default engine through the
-#: durable sweep service (:mod:`repro.harness.service`) instead of a
-#: one-shot process pool. Lives here (not in service.py) so the engine
-#: factory can consult it without importing the service eagerly.
-SERVICE_DIR_ENV = "REPRO_SERVICE_DIR"
+#: Fresh pools one ``Engine.run`` may start after a worker died before
+#: it gives up with :class:`WorkerCrashError`.
+MAX_POOL_RESTARTS = 3
+#: How often a pool worker checks that its driver process is alive.
+ORPHAN_POLL_SECONDS = 0.5
 
 #: Bump to invalidate every cache entry regardless of code content.
 ENGINE_CACHE_VERSION = "1"
@@ -156,33 +167,6 @@ class Job:
         return tag
 
 
-def job_to_dict(job: Job) -> dict:
-    """Full reconstruction payload for *job* (not just its identity):
-    the sweep-service journal persists this so a restarted service can
-    rebuild and re-dispatch jobs it has never seen in memory."""
-    return {
-        "kind": job.kind,
-        "benchmark": job.benchmark,
-        "mode": job.mode,
-        "scale": float(job.scale),
-        "seed": int(job.seed),
-        "config": (None if job.config is None else job.config.to_dict()),
-    }
-
-
-def job_from_dict(data: dict) -> Job:
-    """Inverse of :func:`job_to_dict`; round-trips the cache key."""
-    config = data.get("config")
-    return Job(
-        benchmark=data["benchmark"],
-        mode=data.get("mode", "baseline"),
-        scale=float(data.get("scale", 1.0)),
-        seed=int(data.get("seed", DEFAULT_SEED)),
-        config=None if config is None else SimConfig.from_dict(config),
-        kind=data.get("kind", "sim"),
-    )
-
-
 def _run_sim_job(job: Job) -> SimResult:
     from .runner import run_benchmark
     return run_benchmark(job.benchmark, job.mode, scale=job.scale,
@@ -224,6 +208,37 @@ def _execute_job(job: Job):
     start = time.perf_counter()
     result = JOB_KINDS[job.kind].execute(job)
     return result, time.perf_counter() - start
+
+
+def _exit_when_orphaned() -> None:
+    """Pool initializer: end this worker once its driver is gone.
+
+    A SIGKILLed driver cannot shut its pool down, and its workers would
+    otherwise be reparented and live on. A daemon thread polls the
+    parent pid and exits the worker when it changes."""
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(ORPHAN_POLL_SECONDS)
+        os._exit(0)
+
+    threading.Thread(target=watch, name="orphan-watch",
+                     daemon=True).start()
+
+
+class WorkerCrashError(RuntimeError):
+    """Pool workers kept dying until the restart budget ran out.
+
+    ``jobs`` lists the jobs that never finished. Every job that did
+    finish is already cached, so a rerun recomputes only these."""
+
+    def __init__(self, jobs: Sequence[Job], restarts: int):
+        self.jobs = list(jobs)
+        super().__init__(
+            f"{len(self.jobs)} job(s) unfinished after {restarts} pool "
+            f"restarts (a worker died on every attempt): "
+            + "; ".join(job.describe() for job in self.jobs))
 
 
 # -------------------------------------------------------------------- cache
@@ -285,13 +300,8 @@ class ResultCache:
             "payload": JOB_KINDS[job.kind].encode(result),
             "created": time.time(),
         }
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-            tmp.write_text(json.dumps(document, sort_keys=True))
-            os.replace(tmp, path)
-        except OSError:
-            pass                      # cache is advisory, never fatal
+        # The cache is advisory: a failed write is never fatal.
+        write_atomic(path, json.dumps(document, sort_keys=True).encode())
 
     def entries(self) -> List[pathlib.Path]:
         if not self.root.is_dir():
@@ -307,15 +317,9 @@ class ResultCache:
         }
 
     def clear(self) -> int:
-        """Delete every entry; returns the number removed."""
-        removed = 0
-        for path in self.entries():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
+        """Delete every entry and orphaned temp file; returns the number
+        of entries removed."""
+        return clear_store(self.root, "*.json")
 
 
 # ------------------------------------------------------------------- engine
@@ -328,6 +332,7 @@ class EngineStats:
     cache_hits: int = 0               # jobs served from disk
     wall_seconds: float = 0.0         # engine wall-clock across runs
     job_seconds: float = 0.0          # summed per-job simulation time
+    pool_restarts: int = 0            # fresh pools after a worker died
 
     def reset(self) -> None:
         self.total = 0
@@ -335,6 +340,7 @@ class EngineStats:
         self.cache_hits = 0
         self.wall_seconds = 0.0
         self.job_seconds = 0.0
+        self.pool_restarts = 0
 
 
 def default_jobs() -> int:
@@ -392,8 +398,10 @@ class Engine:
 
         Cache hits are filled in first; the remaining misses run either
         in-process (1 worker) or on a process pool. Every freshly
-        computed result is written to the cache before ``run`` returns,
+        computed result is written to the cache as soon as it arrives,
         so an interrupted sweep resumes from its last completed job.
+        A job's own exception propagates unchanged; a dead pool worker
+        costs a pool restart (see :data:`MAX_POOL_RESTARTS`).
         """
         jobs = list(jobs)
         start = time.perf_counter()
@@ -410,31 +418,53 @@ class Engine:
             else:
                 misses.append(index)
 
+        def finish(index: int, result, seconds: float) -> None:
+            nonlocal done
+            results[index] = result
+            self._finish_miss(jobs[index], result, seconds)
+            done += 1
+            self._report(done, len(jobs), jobs[index], "ran", seconds)
+
         if misses and self.jobs > 1 and len(misses) > 1:
             self._prewarm_workloads([jobs[index] for index in misses])
-            workers = min(self.jobs, len(misses))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {pool.submit(_execute_job, jobs[index]): index
-                           for index in misses}
-                for future in as_completed(futures):
-                    index = futures[future]
-                    result, seconds = future.result()
-                    results[index] = result
-                    self._finish_miss(jobs[index], result, seconds)
-                    done += 1
-                    self._report(done, len(jobs), jobs[index], "ran",
-                                 seconds)
+            for attempt in range(1 + MAX_POOL_RESTARTS):
+                if attempt:
+                    self.stats.pool_restarts += 1
+                misses = self._run_pool(jobs, misses, finish)
+                if not misses:
+                    break
+            else:
+                raise WorkerCrashError([jobs[index] for index in misses],
+                                       MAX_POOL_RESTARTS)
         else:
             for index in misses:
-                result, seconds = _execute_job(jobs[index])
-                results[index] = result
-                self._finish_miss(jobs[index], result, seconds)
-                done += 1
-                self._report(done, len(jobs), jobs[index], "ran", seconds)
+                finish(index, *_execute_job(jobs[index]))
 
         self.stats.total += len(jobs)
         self.stats.wall_seconds += time.perf_counter() - start
         return results
+
+    def _run_pool(self, jobs: List[Job], misses: List[int],
+                  finish: Callable[[int, object, float], None]) -> List[int]:
+        """Run ``jobs[i]`` for each *misses* index on one fresh pool,
+        handing every result to ``finish(i, result, seconds)``. Returns
+        the indices a dead worker left unfinished, in order."""
+        broken: List[int] = []
+        with ProcessPoolExecutor(max_workers=min(self.jobs, len(misses)),
+                                 initializer=_exit_when_orphaned) as pool:
+            futures = {}
+            for index in misses:
+                try:
+                    futures[pool.submit(_execute_job, jobs[index])] = index
+                except BrokenProcessPool:     # a worker died already
+                    broken.append(index)
+            for future in as_completed(futures):
+                index = futures[future]
+                if isinstance(future.exception(), BrokenProcessPool):
+                    broken.append(index)
+                    continue
+                finish(index, *future.result())
+        return sorted(broken)
 
     @staticmethod
     def _prewarm_workloads(jobs: Sequence[Job]) -> None:
@@ -459,10 +489,12 @@ class Engine:
 
     # ------------------------------------------------------------ reporting
     def summary(self) -> str:
-        """One line: jobs, cache hits, executions, wall/sim time."""
+        """One line: jobs, cache hits, executions, pool restarts,
+        wall/sim time."""
         stats = self.stats
         return (f"engine: {stats.total} jobs, {stats.cache_hits} cache "
                 f"hits, {stats.executed} simulated, "
+                f"{stats.pool_restarts} pool restarts, "
                 f"{stats.wall_seconds:.1f}s wall "
                 f"({stats.job_seconds:.1f}s sim, {self.jobs} worker"
                 f"{'s' if self.jobs != 1 else ''})")
@@ -472,9 +504,8 @@ class Engine:
 class ScreeningEngine:
     """Two-tier front end: analytic scores first, full sim on demand.
 
-    Wraps a full engine (pool or service — whatever
-    :func:`_engine_from_environment` yields, so ``$REPRO_SERVICE_DIR``
-    durability composes) and adds the analytical fast tier from
+    Wraps a full engine (the default :class:`Engine` unless one is
+    passed in) and adds the analytical fast tier from
     :mod:`repro.analytic`: :meth:`predict` scores a :class:`Job` in
     microseconds against a memoized per-workload
     :class:`~repro.analytic.profile.TraceProfile`, and :meth:`run`
@@ -488,8 +519,7 @@ class ScreeningEngine:
                  counters: Optional["Counters"] = None):
         from ..analytic import AnalyticModel
         from ..stats import Counters
-        self.full = full_engine if full_engine is not None \
-            else _engine_from_environment()
+        self.full = full_engine if full_engine is not None else Engine()
         self.model = AnalyticModel()
         self.counters = counters if counters is not None else Counters()
         self._profiles: Dict[tuple, object] = {}
@@ -546,27 +576,13 @@ class ScreeningEngine:
 _default_engine: Optional[Engine] = None
 
 
-def _engine_from_environment(jobs=None, use_cache=None, cache=None,
-                             progress=None):
-    """Build the right engine flavor: a durable ``ServiceEngine`` when
-    ``$REPRO_SERVICE_DIR`` is set, the classic pool engine otherwise.
-    The service import is lazy to keep the dependency one-directional
-    (service.py imports this module at top level)."""
-    if os.environ.get(SERVICE_DIR_ENV):
-        from .service import ServiceEngine
-        return ServiceEngine(jobs=jobs, use_cache=use_cache,
-                             cache=cache, progress=progress)
-    return Engine(jobs=jobs, use_cache=use_cache, cache=cache,
-                  progress=progress)
-
-
 def get_engine() -> Engine:
     """The process-wide default engine (created lazily from the
     environment); all harness drivers run through it unless handed an
     explicit engine."""
     global _default_engine
     if _default_engine is None:
-        _default_engine = _engine_from_environment()
+        _default_engine = Engine()
     return _default_engine
 
 
@@ -578,8 +594,8 @@ def configure(jobs: Optional[int] = None,
     unspecified settings fall back to the environment. Returns it."""
     global _default_engine
     cache = ResultCache(cache_dir) if cache_dir is not None else None
-    _default_engine = _engine_from_environment(
-        jobs=jobs, use_cache=use_cache, cache=cache, progress=progress)
+    _default_engine = Engine(jobs=jobs, use_cache=use_cache, cache=cache,
+                             progress=progress)
     return _default_engine
 
 

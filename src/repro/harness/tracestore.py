@@ -19,7 +19,8 @@ cache design:
 
 * **Serialization** — entries are the exact
   :func:`repro.isa.traceio.dumps_trace` byte form (binary, compact,
-  byte-stable), written atomically (temp file + ``os.replace``).
+  byte-stable), written atomically (temp file + ``os.replace``, see
+  :mod:`repro.harness.atomic`).
 
 * **Corruption safety** — a truncated, malformed, or
   version-incompatible entry is treated as a miss, deleted, and
@@ -46,6 +47,7 @@ from typing import List, Optional
 
 from ..isa.dynuop import DynUop
 from ..isa import traceio
+from .atomic import clear_store, write_atomic
 
 #: Set to a non-empty value to disable the persistent trace store.
 NO_TRACE_CACHE_ENV = "REPRO_NO_TRACE_CACHE"
@@ -137,14 +139,8 @@ class TraceStore:
     def put(self, name: str, scale: float, seed: int,
             trace: List[DynUop]) -> None:
         """Atomically persist *trace* (best-effort; never fatal)."""
-        path = self.path_for(self.key(name, scale, seed))
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-            tmp.write_bytes(traceio.dumps_trace(trace))
-            os.replace(tmp, path)
-        except OSError:
-            pass                      # the store is advisory
+        write_atomic(self.path_for(self.key(name, scale, seed)),
+                     traceio.dumps_trace(trace))
 
     # --------------------------------------------------------- inventory
     def entries(self) -> List[pathlib.Path]:
@@ -161,15 +157,9 @@ class TraceStore:
         }
 
     def clear(self) -> int:
-        """Delete every entry; returns the number removed."""
-        removed = 0
-        for path in self.entries():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
+        """Delete every entry and orphaned temp file; returns the number
+        of entries removed."""
+        return clear_store(self.root, "*.trace")
 
 
 # ------------------------------------------------------- default store

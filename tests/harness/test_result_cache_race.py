@@ -1,25 +1,28 @@
-"""Result-cache corruption races (ISSUE 8, satellite 3).
+"""Result-cache corruption races.
 
-The content-addressed cache is shared by every worker of every sweep
-service (and by the pool engine), so two writers can race on the same
-key while a third crashes mid-write. The contract under test:
+The content-addressed cache is shared by every sweep that points at the
+same directory, so two writers can race on the same key while a third
+crashes mid-write. The contract under test:
 
 * ``get`` never returns garbage — a torn or corrupt entry is detected,
   deleted, and reported as a miss (recompute, not wrong data);
-* a crash *before* the atomic rename never disturbs the existing entry;
+* a crash *before* the atomic rename never disturbs the existing entry,
+  and ``clear()`` removes the temp file it leaves behind;
 * concurrent same-key writers, some of them crashing mid-write, leave
-  the cache in a state from which one more ``put`` fully recovers.
+  the cache in a state from which one more ``put`` fully recovers;
+* a sweep whose driver is killed mid-write resumes bit-identically.
 """
 
 import json
 import multiprocessing
 import os
+import signal
 
 import pytest
 
-from repro.harness.engine import Engine, Job, ResultCache, job_from_dict
-from repro.harness.faults import FaultSchedule, FaultSpec, KIND_KILL
-from repro.harness.service import SweepService
+from repro.harness.engine import Engine, Job, ResultCache
+from repro.harness.tracestore import TraceStore
+from repro.harness.runner import load_workload
 
 PAYLOAD = {"critical_fraction": 0.25}
 
@@ -76,10 +79,25 @@ def test_crash_before_rename_leaves_previous_entry_intact(tmp_path):
     assert cache.get(job) == newer
 
 
+def test_clear_removes_orphaned_temp_files(tmp_path):
+    cache = ResultCache(tmp_path / "results")
+    store = TraceStore(tmp_path / "traces")
+    job = profile_job()
+    cache.put(job, PAYLOAD)
+    store.put("bzip", 0.05, 1, load_workload("bzip", 0.05, 1).trace())
+    # Writers killed between the temp write and the rename.
+    for entry in (cache.entries()[0], store.entries()[0]):
+        entry.with_name(entry.name + ".tmp99999").write_text("torn")
+    assert cache.clear() == 1
+    assert store.clear() == 1
+    for root in (cache.root, store.root):
+        assert [path for path in root.rglob("*") if path.is_file()] == []
+
+
 # ------------------------------------------------------- process races
-def _racing_writer(cache_dir, job_dict, crash):
+def _racing_writer(cache_dir, crash):
     cache = ResultCache(cache_dir)
-    job = job_from_dict(job_dict)
+    job = profile_job()
     if crash:
         # Worst-case writer: no atomic rename, dies mid-write, leaving
         # a torn entry at the final path (what torn_write injects).
@@ -97,14 +115,12 @@ def _racing_writer(cache_dir, job_dict, crash):
     reason="racing writers use fork")
 def test_concurrent_same_key_writers_with_crashers(tmp_path):
     job = profile_job()
-    job_dict = {"kind": "rob_profile", "benchmark": "bzip",
-                "mode": "baseline", "scale": 0.05, "seed": 1}
     cache = ResultCache(tmp_path)
     for round_ in range(3):
         writers = [
             multiprocessing.Process(
                 target=_racing_writer,
-                args=(str(tmp_path), job_dict, index % 2 == 1))
+                args=(str(tmp_path), index % 2 == 1))
             for index in range(8)]
         for process in writers:
             process.start()
@@ -119,29 +135,55 @@ def test_concurrent_same_key_writers_with_crashers(tmp_path):
         assert cache.get(job) == PAYLOAD
 
 
-# -------------------------------------------------------- service level
-def test_torn_write_fault_converges_to_a_valid_cache(tmp_path,
-                                                     monkeypatch):
-    """After a sweep that injected a torn cache write, every cache
-    entry decodes and matches the sweep's own (serial-identical)
-    results — the torn intermediate state is unobservable afterward."""
+# --------------------------------------------------------- engine level
+class _KilledMidWrite(ResultCache):
+    """A cache whose second ``put`` writes half an entry straight to
+    its final path (no atomic rename), then SIGKILLs the writer."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.puts = 0
+
+    def put(self, job, result):
+        self.puts += 1
+        if self.puts < 2:
+            return super().put(job, result)
+        path = self.path_for(job.key())
+        path.parent.mkdir(parents=True, exist_ok=True)
+        blob = json.dumps({"kind": job.kind,
+                           "payload": result.to_dict()})
+        path.write_text(blob[: len(blob) // 2])
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _sweep_killed_mid_write(cache_dir, jobs):
+    Engine(jobs=2, cache=_KilledMidWrite(cache_dir)).run(jobs)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the killed sweep runs in a forked child")
+def test_sweep_killed_mid_write_resumes_bit_identically(tmp_path):
+    """A 2-worker sweep whose cache writer dies mid-write leaves one
+    good entry and one torn one. The rerun reads the torn entry as a
+    miss, recomputes it, and matches a serial no-cache run."""
     cache_dir = tmp_path / "cache"
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
     jobs = [Job(name, mode, scale=0.05, seed=seed)
             for name in ("bzip", "milc") for mode in ("baseline", "cdf")
             for seed in (1, 2)]
-    faults = FaultSchedule(specs=[
-        FaultSpec(KIND_KILL, worker=0, at_job=0, phase="torn_write")])
-    service = SweepService(tmp_path / "svc", workers=2, batch_size=2,
-                           poll=0.02, faults=faults)
-    keys = service.submit_jobs(jobs)
-    results = service.drain()
-    assert service.report.worker_deaths == 1
-    reference = {job.key(): result.fingerprint() for job, result in
-                 zip(jobs, Engine(jobs=1, use_cache=False).run(jobs))}
+    child = multiprocessing.Process(target=_sweep_killed_mid_write,
+                                    args=(cache_dir, jobs))
+    child.start()
+    child.join(60)
+    assert child.exitcode == -signal.SIGKILL
     cache = ResultCache(cache_dir)
-    for job in jobs:
-        cached = cache.get(job)
-        assert cached is not None, f"missing cache entry for {job}"
-        assert cached.fingerprint() == reference[job.key()]
-        assert results[job.key()].fingerprint() == reference[job.key()]
+    assert len(cache.entries()) == 2          # one good, one torn
+
+    engine = Engine(jobs=2, cache=cache)
+    results = engine.run(jobs)
+    assert engine.stats.cache_hits == 1
+    assert engine.stats.executed == len(jobs) - 1
+    reference = [result.fingerprint() for result in
+                 Engine(jobs=1, use_cache=False).run(jobs)]
+    assert [result.fingerprint() for result in results] == reference
+    assert [cache.get(job).fingerprint() for job in jobs] == reference
