@@ -7,9 +7,19 @@ parallel. This module is the single execution layer those drivers share:
 
 * **Job model** — :class:`Job` names one simulation point. ``kind``
   selects the executor: ``"sim"`` runs ``run_benchmark`` and yields a
-  :class:`~repro.stats.SimResult`; ``"rob_profile"`` runs the Fig. 1
-  ROB-stall profile and yields a float-carrying dict. New kinds register
-  in :data:`JOB_KINDS` with an executor plus JSON encode/decode hooks.
+  :class:`~repro.stats.SimResult`; ``"rob_profile"`` runs the same
+  machine with the Fig. 1 ROB-stall profiler attached and yields a
+  float-carrying dict *and* the machine's ``SimResult``. New kinds
+  register in :data:`JOB_KINDS` with an executor plus JSON
+  encode/decode hooks.
+
+* **Machine sharing** — a job's :meth:`Job.machine_key` names the
+  pipeline it runs: benchmark, mode, scale, seed and the fingerprint of
+  its resolved config, but not its kind or whether the config was
+  passed explicitly. ``run`` simulates each machine it owes once and
+  hands the products to every job that names it; a per-engine memo of
+  recent machines (:data:`MACHINE_MEMO_SIZE`) extends that to later
+  ``run`` calls in the same process, with or without the disk cache.
 
 * **Parallel execution** — :class:`Engine` runs cache misses through a
   ``concurrent.futures.ProcessPoolExecutor``. Worker count comes from
@@ -21,7 +31,7 @@ parallel. This module is the single execution layer those drivers share:
 
 * **Fault tolerance** — a pool worker that dies (SIGKILL, OOM kill)
   breaks the pool; ``run`` keeps every finished result and resubmits
-  only the unfinished misses to a fresh pool, at most
+  only the unfinished simulations to a fresh pool, at most
   :data:`MAX_POOL_RESTARTS` times per call before raising
   :class:`WorkerCrashError`. Pool workers exit on their own once the
   driver process is gone, so a killed sweep leaks no workers.
@@ -42,8 +52,8 @@ parallel. This module is the single execution layer those drivers share:
   points; everything already on disk is a cache hit.
 
 * **Observability** — :class:`EngineStats` counts jobs, cache hits,
-  executions, pool restarts, and wall/sim time; ``Engine.summary()``
-  renders the line the CLI prints to stderr after
+  executions, shared jobs, pool restarts, and wall/sim time;
+  ``Engine.summary()`` renders the line the CLI prints to stderr after
   ``repro-sim figure``/``report`` runs.
   Telemetry payloads compose with the cache for free: a job whose
   config sets ``obs_level > 0`` carries its collected payload on
@@ -63,10 +73,11 @@ import pathlib
 import sys
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..config import SimConfig
 from ..stats import SimResult
@@ -84,6 +95,9 @@ NO_CACHE_ENV = "REPRO_NO_CACHE"
 MAX_POOL_RESTARTS = 3
 #: How often a pool worker checks that its driver process is alive.
 ORPHAN_POLL_SECONDS = 0.5
+#: Machines whose products one :class:`Engine` keeps in memory for
+#: later ``run`` calls; the least recently used is dropped first.
+MACHINE_MEMO_SIZE = 256
 
 #: Bump to invalidate every cache entry regardless of code content.
 ENGINE_CACHE_VERSION = "1"
@@ -135,6 +149,25 @@ class Job:
         if self.config is not None:
             self.config.freeze()
         self._key_cache: Optional[str] = None
+        self._resolved: Optional[SimConfig] = self.config
+
+    def resolved_config(self) -> SimConfig:
+        """The frozen config this job simulates: its own, or else its
+        mode's Table-1 config (built once per job)."""
+        if self._resolved is None:
+            from .runner import config_for_mode
+            config = config_for_mode(self.mode)
+            config.freeze()
+            self._resolved = config
+        return self._resolved
+
+    def machine_key(self) -> tuple:
+        """The simulated machine: jobs with equal machine keys run the
+        same pipeline, whatever their ``kind``, so the engine runs it
+        once for all of them. Unlike :meth:`key`, ``config=None`` and
+        an explicit config with the same fingerprint are one machine."""
+        return (self.benchmark, self.mode, repr(float(self.scale)),
+                int(self.seed), self.resolved_config().fingerprint())
 
     def identity(self) -> dict:
         """The JSON-able dict that fully determines this job's result."""
@@ -173,20 +206,27 @@ def _run_sim_job(job: Job) -> SimResult:
                          seed=job.seed, config=job.config)
 
 
-def _run_rob_profile_job(job: Job) -> dict:
-    from .runner import rob_stall_profile
-    fraction = rob_stall_profile(job.benchmark, scale=job.scale,
-                                 seed=job.seed)
-    return {"critical_fraction": fraction}
+def _run_rob_profile_job(job: Job) -> Dict[str, object]:
+    from .runner import run_profiled
+    result, fraction = run_profiled(job.benchmark, job.mode,
+                                    scale=job.scale, seed=job.seed,
+                                    config=job.config)
+    return {"rob_profile": {"critical_fraction": fraction}, "sim": result}
 
 
 @dataclass(frozen=True)
 class JobKind:
-    """Executor plus JSON (de)serialization hooks for one job kind."""
+    """Executor plus JSON (de)serialization hooks for one job kind.
+
+    ``also_yields`` names the other kinds one execution produces too.
+    Such a kind's ``execute`` returns ``{kind: result}`` for itself and
+    each of them, and jobs of those kinds that name the same machine
+    share its run."""
 
     execute: Callable[[Job], object]
     encode: Callable[[object], object]
     decode: Callable[[object], object]
+    also_yields: Tuple[str, ...] = ()
 
 
 #: Registry of job kinds. ``encode``/``decode`` map between the result
@@ -199,12 +239,20 @@ JOB_KINDS: Dict[str, JobKind] = {
                            encode=lambda result: dict(result),
                            decode=lambda payload: {
                                "critical_fraction":
-                                   float(payload["critical_fraction"])}),
+                                   float(payload["critical_fraction"])},
+                           also_yields=("sim",)),
 }
 
 
+def _yields(kind: str) -> Tuple[str, ...]:
+    """Every kind one execution of *kind* produces a result for."""
+    return (kind,) + JOB_KINDS[kind].also_yields
+
+
 def _execute_job(job: Job):
-    """Process-pool entry point: run one job, return (result, seconds)."""
+    """Process-pool entry point: run one job, return (output, seconds),
+    where the output is the result, or ``{kind: result}`` for a kind
+    that also yields others."""
     start = time.perf_counter()
     result = JOB_KINDS[job.kind].execute(job)
     return result, time.perf_counter() - start
@@ -230,7 +278,8 @@ def _exit_when_orphaned() -> None:
 class WorkerCrashError(RuntimeError):
     """Pool workers kept dying until the restart budget ran out.
 
-    ``jobs`` lists the jobs that never finished. Every job that did
+    ``jobs`` lists the jobs that never finished: every member of each
+    machine group whose simulation never completed. Every job that did
     finish is already cached, so a rerun recomputes only these."""
 
     def __init__(self, jobs: Sequence[Job], restarts: int):
@@ -325,11 +374,16 @@ class ResultCache:
 # ------------------------------------------------------------------- engine
 @dataclass
 class EngineStats:
-    """Cumulative accounting across ``Engine.run`` calls."""
+    """Cumulative accounting across ``Engine.run`` calls.
+
+    Every job is exactly one of a cache hit, the job a simulation was
+    executed for, or a job that shared another job's simulation, so
+    ``cache_hits + executed + shared == total``."""
 
     total: int = 0                    # jobs submitted
     executed: int = 0                 # simulations actually run
     cache_hits: int = 0               # jobs served from disk
+    shared: int = 0                   # jobs served by another's run
     wall_seconds: float = 0.0         # engine wall-clock across runs
     job_seconds: float = 0.0          # summed per-job simulation time
     pool_restarts: int = 0            # fresh pools after a worker died
@@ -338,9 +392,38 @@ class EngineStats:
         self.total = 0
         self.executed = 0
         self.cache_hits = 0
+        self.shared = 0
         self.wall_seconds = 0.0
         self.job_seconds = 0.0
         self.pool_restarts = 0
+
+
+@dataclass
+class _Run:
+    """One simulation owed to the jobs at ``members`` (indices into a
+    ``run`` call's job list); ``lead`` is the member whose kind
+    executes, chosen so that it yields every member's kind."""
+
+    lead: int
+    members: List[int]
+
+
+def _plan(runs: List[_Run], jobs: List[Job], index: int) -> None:
+    """Add ``jobs[index]`` to the run among *runs* (all for its machine)
+    that can serve its kind, making it the lead where its own kind
+    yields every member's; otherwise start a new run."""
+    kind = jobs[index].kind
+    for run in runs:
+        if kind in _yields(jobs[run.lead].kind):
+            break
+        if all(jobs[member].kind in _yields(kind)
+               for member in run.members):
+            run.lead = index
+            break
+    else:
+        runs.append(_Run(index, [index]))
+        return
+    run.members.append(index)
 
 
 def default_jobs() -> int:
@@ -362,7 +445,8 @@ class Engine:
         the runner's in-process workload cache is shared across modes).
     use_cache:
         Disable to force re-simulation (``--no-cache``); ``None`` reads
-        ``$REPRO_NO_CACHE``.
+        ``$REPRO_NO_CACHE``. Jobs naming one machine still share its
+        simulation within this engine.
     cache:
         A :class:`ResultCache`; defaults to one rooted at
         ``$REPRO_CACHE_DIR`` / ``~/.cache/repro-sim``.
@@ -382,6 +466,8 @@ class Engine:
         self.cache = cache if cache is not None else ResultCache()
         self.progress = progress
         self.stats = EngineStats()
+        #: machine key -> {kind: JSON payload} of recent simulations.
+        self._memo: "OrderedDict[tuple, Dict[str, str]]" = OrderedDict()
 
     # ------------------------------------------------------------- running
     def _report(self, done: int, total: int, job: Job, verb: str,
@@ -396,75 +482,104 @@ class Engine:
     def run(self, jobs: Sequence[Job]) -> List:
         """Execute *jobs*; returns results in submission order.
 
-        Cache hits are filled in first; the remaining misses run either
-        in-process (1 worker) or on a process pool. Every freshly
-        computed result is written to the cache as soon as it arrives,
-        so an interrupted sweep resumes from its last completed job.
-        A job's own exception propagates unchanged; a dead pool worker
-        costs a pool restart (see :data:`MAX_POOL_RESTARTS`).
+        Cache hits are filled in first, then jobs whose machine this
+        engine simulated recently. The remaining jobs are grouped by
+        machine, and each group's one simulation runs either in-process
+        (1 worker) or on a process pool. Every job gets its own result
+        object and its own cache entry, written as soon as its group's
+        simulation arrives, so an interrupted sweep resumes from its
+        last completed group. A job's own exception propagates
+        unchanged; a dead pool worker costs a pool restart (see
+        :data:`MAX_POOL_RESTARTS`).
         """
         jobs = list(jobs)
         start = time.perf_counter()
         results: List = [None] * len(jobs)
-        misses: List[int] = []
+        owed: Dict[tuple, List[_Run]] = {}
         done = 0
+
+        def deliver(index: int, result, verb: str,
+                    seconds: Optional[float] = None) -> None:
+            nonlocal done
+            results[index] = result
+            if self.use_cache and verb != "cache-hit":
+                self.cache.put(jobs[index], result)
+            done += 1
+            self._report(done, len(jobs), jobs[index], verb, seconds)
+
         for index, job in enumerate(jobs):
             cached = self.cache.get(job) if self.use_cache else None
             if cached is not None:
-                results[index] = cached
                 self.stats.cache_hits += 1
-                done += 1
-                self._report(done, len(jobs), job, "cache-hit")
+                deliver(index, cached, "cache-hit")
+                continue
+            key = job.machine_key()
+            recalled = self._recall(key, job.kind)
+            if recalled is not None:
+                self.stats.shared += 1
+                deliver(index, recalled, "shared")
             else:
-                misses.append(index)
+                _plan(owed.setdefault(key, []), jobs, index)
 
-        def finish(index: int, result, seconds: float) -> None:
-            nonlocal done
-            results[index] = result
-            self._finish_miss(jobs[index], result, seconds)
-            done += 1
-            self._report(done, len(jobs), jobs[index], "ran", seconds)
+        def finish(run: _Run, output, seconds: float) -> None:
+            lead = jobs[run.lead]
+            if not JOB_KINDS[lead.kind].also_yields:
+                output = {lead.kind: output}
+            key = lead.machine_key()
+            self._remember(key, output)
+            self.stats.executed += 1
+            self.stats.job_seconds += seconds
+            deliver(run.lead, output[lead.kind], "ran", seconds)
+            for index in run.members:
+                if index != run.lead:
+                    self.stats.shared += 1
+                    deliver(index, self._recall(key, jobs[index].kind),
+                            "shared")
 
-        if misses and self.jobs > 1 and len(misses) > 1:
-            self._prewarm_workloads([jobs[index] for index in misses])
+        runs = [run for group in owed.values() for run in group]
+        if self.jobs > 1 and len(runs) > 1:
+            self._prewarm_workloads([jobs[run.lead] for run in runs])
             for attempt in range(1 + MAX_POOL_RESTARTS):
                 if attempt:
                     self.stats.pool_restarts += 1
-                misses = self._run_pool(jobs, misses, finish)
-                if not misses:
+                runs = self._run_pool(jobs, runs, finish)
+                if not runs:
                     break
             else:
-                raise WorkerCrashError([jobs[index] for index in misses],
-                                       MAX_POOL_RESTARTS)
+                raise WorkerCrashError(
+                    [jobs[index] for index in
+                     sorted(index for run in runs for index in run.members)],
+                    MAX_POOL_RESTARTS)
         else:
-            for index in misses:
-                finish(index, *_execute_job(jobs[index]))
+            for run in runs:
+                finish(run, *_execute_job(jobs[run.lead]))
 
         self.stats.total += len(jobs)
         self.stats.wall_seconds += time.perf_counter() - start
         return results
 
-    def _run_pool(self, jobs: List[Job], misses: List[int],
-                  finish: Callable[[int, object, float], None]) -> List[int]:
-        """Run ``jobs[i]`` for each *misses* index on one fresh pool,
-        handing every result to ``finish(i, result, seconds)``. Returns
-        the indices a dead worker left unfinished, in order."""
-        broken: List[int] = []
-        with ProcessPoolExecutor(max_workers=min(self.jobs, len(misses)),
+    def _run_pool(self, jobs: List[Job], runs: List[_Run],
+                  finish: Callable[[_Run, object, float], None]
+                  ) -> List[_Run]:
+        """Execute each of *runs* (its lead job) on one fresh pool,
+        handing every output to ``finish(run, output, seconds)``.
+        Returns the runs a dead worker left unfinished, in order."""
+        broken: List[_Run] = []
+        with ProcessPoolExecutor(max_workers=min(self.jobs, len(runs)),
                                  initializer=_exit_when_orphaned) as pool:
             futures = {}
-            for index in misses:
+            for run in runs:
                 try:
-                    futures[pool.submit(_execute_job, jobs[index])] = index
+                    futures[pool.submit(_execute_job, jobs[run.lead])] = run
                 except BrokenProcessPool:     # a worker died already
-                    broken.append(index)
+                    broken.append(run)
             for future in as_completed(futures):
-                index = futures[future]
+                run = futures[future]
                 if isinstance(future.exception(), BrokenProcessPool):
-                    broken.append(index)
+                    broken.append(run)
                     continue
-                finish(index, *future.result())
-        return sorted(broken)
+                finish(run, *future.result())
+        return sorted(broken, key=lambda run: run.lead)
 
     @staticmethod
     def _prewarm_workloads(jobs: Sequence[Job]) -> None:
@@ -481,19 +596,31 @@ class Engine:
                 (job.benchmark, job.scale, job.seed) for job in jobs):
             load_workload(*key).trace()
 
-    def _finish_miss(self, job: Job, result, seconds: float) -> None:
-        self.stats.executed += 1
-        self.stats.job_seconds += seconds
-        if self.use_cache:
-            self.cache.put(job, result)
+    def _remember(self, key: tuple, products: Dict[str, object]) -> None:
+        """Memoize one simulation's products as JSON payloads."""
+        payloads = self._memo.pop(key, {})
+        for kind, result in products.items():
+            payloads[kind] = json.dumps(JOB_KINDS[kind].encode(result))
+        self._memo[key] = payloads
+        while len(self._memo) > MACHINE_MEMO_SIZE:
+            self._memo.popitem(last=False)
+
+    def _recall(self, key: tuple, kind: str):
+        """A fresh decoded copy of *kind*'s memoized result for machine
+        *key*, exactly what a cache hit returns; None when absent."""
+        payloads = self._memo.get(key)
+        if payloads is None or kind not in payloads:
+            return None
+        self._memo.move_to_end(key)
+        return JOB_KINDS[kind].decode(json.loads(payloads[kind]))
 
     # ------------------------------------------------------------ reporting
     def summary(self) -> str:
-        """One line: jobs, cache hits, executions, pool restarts,
-        wall/sim time."""
+        """One line: jobs, cache hits, executions, shared jobs, pool
+        restarts, wall/sim time."""
         stats = self.stats
         return (f"engine: {stats.total} jobs, {stats.cache_hits} cache "
-                f"hits, {stats.executed} simulated, "
+                f"hits, {stats.executed} simulated, {stats.shared} shared, "
                 f"{stats.pool_restarts} pool restarts, "
                 f"{stats.wall_seconds:.1f}s wall "
                 f"({stats.job_seconds:.1f}s sim, {self.jobs} worker"
@@ -546,12 +673,8 @@ class ScreeningEngine:
             raise ValueError(
                 f"screening only scores 'sim' jobs, not {job.kind!r}")
         profile = self.profile_for(job.benchmark, job.scale, job.seed)
-        config = job.config
-        if config is None:
-            from .runner import config_for_mode
-            config = config_for_mode(job.mode)
         self.counters.bump("screen_configs_scored")
-        return self.model.predict(profile, config)
+        return self.model.predict(profile, job.resolved_config())
 
     def predict_ipc(self, job: Job) -> float:
         """Predicted IPC for *job* (the screening tier's score)."""

@@ -85,7 +85,8 @@ def build_report(scale: float = 0.5,
     trailing wall-clock line near-zero (see docs/harness.md — the
     timing line measures harness time, not simulation cost, whenever
     cache hits are involved). The ``progress`` callback receives one
-    line per section plus a per-section simulated/cached breakdown.
+    line per section plus a per-section simulated/shared/cached
+    breakdown.
     """
     from .engine import get_engine
     engine = get_engine()
@@ -97,6 +98,7 @@ def build_report(scale: float = 0.5,
         if progress:
             progress(title)
         before_executed = engine.stats.executed
+        before_shared = engine.stats.shared
         before_hits = engine.stats.cache_hits
         section_start = time.time()
         parts.append(f"## {title}\n")
@@ -106,7 +108,8 @@ def build_report(scale: float = 0.5,
         if progress:
             progress(f"    {time.time() - section_start:.1f}s "
                      f"({engine.stats.executed - before_executed} "
-                     f"simulated, {engine.stats.cache_hits - before_hits} "
+                     f"simulated, {engine.stats.shared - before_shared} "
+                     f"shared, {engine.stats.cache_hits - before_hits} "
                      "cached)")
     from .engine import code_salt
     parts.append(f"_Report generated in {time.time() - start:.0f}s "

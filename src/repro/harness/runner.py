@@ -141,18 +141,12 @@ def make_pipeline(mode: str, trace, config: SimConfig, workload: Workload,
     return pipeline
 
 
-def run_benchmark(name: str, mode: str = "baseline", scale: float = 1.0,
-                  seed: int = DEFAULT_SEED,
-                  config: Optional[SimConfig] = None,
-                  obs_level: Optional[int] = None,
-                  **pipeline_kwargs) -> SimResult:
-    """Run one benchmark under one mode; returns the SimResult with the
-    energy model applied.
-
-    ``obs_level`` (when not None) overrides ``config.obs_level``; at
-    level >= 1 the returned result carries the telemetry payload on
-    ``result.obs`` (see docs/observability.md).
-    """
+def _simulate(name: str, mode: str, scale: float, seed: int,
+              config: Optional[SimConfig], obs_level: Optional[int] = None,
+              **pipeline_kwargs) -> Tuple[SimResult, BaselinePipeline]:
+    """One run of the machine ``(name, mode, scale, seed, config)``:
+    the SimResult with the energy model applied, and the pipeline that
+    produced it (for the callers that read its profiler)."""
     workload = load_workload(name, scale, seed)
     trace = workload.trace()
     if config is None:
@@ -174,25 +168,51 @@ def run_benchmark(name: str, mode: str = "baseline", scale: float = 1.0,
     if pipeline.observer is not None:
         result.obs = pipeline.observer.payload()
     EnergyModel(config).compute(result)
+    return result, pipeline
+
+
+def run_benchmark(name: str, mode: str = "baseline", scale: float = 1.0,
+                  seed: int = DEFAULT_SEED,
+                  config: Optional[SimConfig] = None,
+                  obs_level: Optional[int] = None,
+                  **pipeline_kwargs) -> SimResult:
+    """Run one benchmark under one mode; returns the SimResult with the
+    energy model applied.
+
+    ``obs_level`` (when not None) overrides ``config.obs_level``; at
+    level >= 1 the returned result carries the telemetry payload on
+    ``result.obs`` (see docs/observability.md).
+    """
+    result, _ = _simulate(name, mode, scale, seed, config, obs_level,
+                          **pipeline_kwargs)
     return result
+
+
+def run_profiled(name: str, mode: str = "baseline", scale: float = 1.0,
+                 seed: int = DEFAULT_SEED,
+                 config: Optional[SimConfig] = None
+                 ) -> Tuple[SimResult, float]:
+    """One run of the machine with the ROB-stall profiler attached.
+
+    Returns what :func:`run_benchmark` returns for the same machine (the
+    profiler observes the run without changing it) together with the
+    fraction of ROB slots holding critical uops during full-window
+    stalls (the per-benchmark unit of Fig. 1)."""
+    result, pipeline = _simulate(name, mode, scale, seed, config,
+                                 profile_rob_stalls=True)
+    if pipeline.profiler.stall_cycles == 0:
+        return result, 0.0
+    roots = list(pipeline.llc_miss_load_seqs)
+    roots += pipeline.mispredicted_branch_seqs
+    critical = mark_critical_chains(pipeline.trace, roots)
+    return result, pipeline.profiler.critical_fraction(critical)
 
 
 def rob_stall_profile(name: str, scale: float = 1.0,
                       seed: int = DEFAULT_SEED) -> float:
     """Fraction of ROB slots holding critical uops during full-window
     stalls on the baseline core (the per-benchmark unit of Fig. 1)."""
-    workload = load_workload(name, scale, seed)
-    trace = workload.trace()
-    config = config_for_mode("baseline")
-    pipeline = BaselinePipeline(trace, config, benchmark=name,
-                                profile_rob_stalls=True)
-    pipeline.run()
-    if pipeline.profiler.stall_cycles == 0:
-        return 0.0
-    roots = list(pipeline.llc_miss_load_seqs)
-    roots += pipeline.mispredicted_branch_seqs
-    critical = mark_critical_chains(trace, roots)
-    return pipeline.profiler.critical_fraction(critical)
+    return run_profiled(name, "baseline", scale, seed)[1]
 
 
 def run_comparison(names: Iterable[str], modes: Iterable[str] = MODES,

@@ -5,12 +5,13 @@ result. Each case runs a 2-worker :class:`Engine` sweep through one
 fault and checks every fingerprint against a serial no-cache run:
 
 * pool workers SIGKILLed mid-sweep: the run restarts the pool and
-  completes bit-identically;
+  completes bit-identically, also when the killed worker was running a
+  simulation several jobs share;
 * the driver SIGKILLed mid-sweep: its workers exit on their own, and
   the rerun serves every finished job from the cache;
 * a job that kills its worker on every attempt: the run gives up with
-  :class:`WorkerCrashError` after the restart budget, with every
-  finished job cached;
+  :class:`WorkerCrashError` after the restart budget, naming every job
+  that shared the dead simulation, with every finished job cached;
 * a job that raises: the exception propagates unchanged, no restart.
 
 The torn-cache-write case lives in test_result_cache_race.py.
@@ -24,6 +25,7 @@ import time
 
 import pytest
 
+from repro.config import SimConfig
 from repro.harness.engine import (
     JOB_KINDS,
     MAX_POOL_RESTARTS,
@@ -192,6 +194,13 @@ def test_job_that_always_kills_its_worker_exhausts_the_budget(
     assert rerun.stats.executed == len(unfinished) - 1
 
 
+def _rob_config(rob_size):
+    """A distinct machine per ROB size, on one workload trace."""
+    config = SimConfig.baseline()
+    config.core.rob_size = rob_size
+    return config
+
+
 def test_worker_death_during_submission_costs_a_restart(monkeypatch):
     """A poison job at the head of a long queue can break the pool while
     later jobs are still being submitted; that is a restart too."""
@@ -201,13 +210,67 @@ def test_worker_death_during_submission_costs_a_restart(monkeypatch):
     monkeypatch.setitem(JOB_KINDS, "noop",
                         JobKind(execute=_noop, encode=dict, decode=dict))
     poison = Job("bzip", scale=0.05, kind="crash")
-    jobs = [poison] + [Job("bzip", scale=0.05, kind="noop")] * 1000
+    jobs = [poison] + [Job("bzip", scale=0.05, kind="noop",
+                           config=_rob_config(rob)) for rob in range(1000)]
     for _ in range(5):
         engine = Engine(jobs=2, use_cache=False)
         with pytest.raises(WorkerCrashError) as caught:
             engine.run(jobs)
         assert caught.value.jobs[0] == poison
         assert engine.stats.pool_restarts == MAX_POOL_RESTARTS
+
+
+def test_crash_error_names_every_member_of_a_dead_group(monkeypatch):
+    monkeypatch.setitem(JOB_KINDS, "crash",
+                        JobKind(execute=_kill_own_worker, encode=dict,
+                                decode=dict, also_yields=("sim",)))
+    poison = Job("bzip", scale=0.05, seed=1, kind="crash")
+    jobs = JOBS[:6] + [poison]         # JOBS[0] names poison's machine
+    engine = Engine(jobs=2, use_cache=False)
+    with pytest.raises(WorkerCrashError) as caught:
+        engine.run(jobs)
+    unfinished = caught.value.jobs
+    assert poison in unfinished and JOBS[0] in unfinished
+    assert JOBS[0].describe() in str(caught.value)
+
+
+def _crash_once_then_profile(job):
+    """Kill this worker the first time any worker runs this; afterwards
+    run a real ROB profile, reported under this kind."""
+    marker = pathlib.Path(os.environ[CRASH_MARKER_ENV])
+    if not marker.exists():
+        marker.touch()
+        os.kill(os.getpid(), signal.SIGKILL)
+    products = JOB_KINDS["rob_profile"].execute(job)
+    return {"flaky": products["rob_profile"], "sim": products["sim"]}
+
+
+CRASH_MARKER_ENV = "ENGINE_FAULTS_CRASH_MARKER"
+
+
+def test_worker_kill_in_a_shared_group_costs_one_restart(
+        tmp_path, monkeypatch, reference):
+    monkeypatch.setenv(CRASH_MARKER_ENV, str(tmp_path / "crashed"))
+    monkeypatch.setitem(JOB_KINDS, "flaky",
+                        JobKind(execute=_crash_once_then_profile,
+                                encode=dict, decode=dict,
+                                also_yields=("sim",)))
+    # Three jobs name JOBS[0]'s machine; the flaky one leads their run.
+    group = [Job("bzip", scale=0.05, seed=1, kind="flaky"),
+             Job("bzip", scale=0.05, seed=1, config=SimConfig.baseline())]
+    jobs = JOBS + group
+    cache = ResultCache(tmp_path / "cache")
+    engine = Engine(jobs=2, cache=cache)
+    results = engine.run(jobs)
+    assert engine.stats.pool_restarts == 1
+    assert (engine.stats.executed, engine.stats.shared) == (len(JOBS), 2)
+    assert fingerprints(results[:len(JOBS)]) == reference
+    assert results[-1].fingerprint() == reference[0]
+    assert 0.0 <= results[-2]["critical_fraction"] <= 1.0
+    assert all(cache.get(job) is not None for job in [JOBS[0]] + group)
+    rerun = Engine(jobs=2, cache=cache)
+    rerun.run(jobs)
+    assert rerun.stats.cache_hits == len(jobs)
 
 
 def test_job_exception_propagates_without_restart(tmp_path, monkeypatch):
