@@ -611,14 +611,20 @@ def cmd_cache(args) -> int:
             ("property", "value"),
             [("directory", tstats["root"]),
              ("entries", tstats["entries"]),
-             ("size", f"{tstats['bytes'] / 1024:.1f} KiB")]))
+             ("size", f"{tstats['bytes'] / 1024:.1f} KiB"),
+             ("profiles", tstats["profiles"]),
+             ("profile size",
+              f"{tstats['profile_bytes'] / 1024:.1f} KiB")]))
         return 0
     removed = cache.clear()
     print(f"removed {removed} cached result"
           f"{'s' if removed != 1 else ''} from {cache.root}")
+    removed_profiles = store.clear_profiles()
     removed_traces = store.clear()
     print(f"removed {removed_traces} compiled trace"
-          f"{'s' if removed_traces != 1 else ''} from {store.root}")
+          f"{'s' if removed_traces != 1 else ''} and {removed_profiles} "
+          f"profile{'s' if removed_profiles != 1 else ''} "
+          f"from {store.root}")
     return 0
 
 
@@ -636,6 +642,7 @@ def _parse_sweep_value(text: str):
 
 
 def cmd_sweep(args) -> int:
+    from .harness.engine import ScreeningEngine
     from .harness.sweep import (
         KNOBS,
         QUICK_SCREEN_MODES,
@@ -667,10 +674,15 @@ def cmd_sweep(args) -> int:
                            ("value", *over), rows))
         return 0
 
+    screening = ScreeningEngine(full_engine=get_engine())
     report = screened_sweep(knob, values, names, modes=modes,
                             scale=scale, seed=args.seed,
                             top_k=args.top_k, epsilon=args.epsilon,
+                            screening=screening,
                             measure_recall=args.measure_recall)
+    # stderr beside the engine line: profiles built vs loaded differ
+    # between cold and warm runs, stdout does not.
+    print(screening.screen_summary(), file=sys.stderr)
     rows = []
     for value in sorted(values, key=lambda v: report.scores[v],
                         reverse=True):

@@ -588,12 +588,18 @@ class Engine:
         re-running the functional simulation (on ``fork`` platforms; a
         harmless warm-up elsewhere). This keeps the one-trace-per-
         benchmark sharing the serial path gets from the runner's
-        in-process cache."""
-        from .runner import load_workload
+        in-process cache.
+
+        Only the first :func:`~repro.harness.runner.workload_cache_capacity`
+        distinct workloads (in submission order, the ones workers need
+        first) are built: the runner's LRU would evict any beyond that
+        before the fork, so building them is wasted serial work."""
+        from .runner import load_workload, workload_cache_capacity
         # dict.fromkeys, not a set: dedup in first-seen order so the
         # prewarm sequence is independent of PYTHONHASHSEED (DET002).
-        for key in dict.fromkeys(
-                (job.benchmark, job.scale, job.seed) for job in jobs):
+        keys = list(dict.fromkeys(
+            (job.benchmark, job.scale, job.seed) for job in jobs))
+        for key in keys[:workload_cache_capacity()]:
             load_workload(*key).trace()
 
     def _remember(self, key: tuple, products: Dict[str, object]) -> None:
@@ -634,8 +640,9 @@ class ScreeningEngine:
     Wraps a full engine (the default :class:`Engine` unless one is
     passed in) and adds the analytical fast tier from
     :mod:`repro.analytic`: :meth:`predict` scores a :class:`Job` in
-    microseconds against a memoized per-workload
-    :class:`~repro.analytic.profile.TraceProfile`, and :meth:`run`
+    microseconds against a per-workload
+    :class:`~repro.analytic.profile.TraceProfile` (memoized here and
+    persisted beside the trace in the trace store), and :meth:`run`
     delegates to the wrapped engine for the points a caller decides to
     simulate.  Promotion policy (top-K / within-epsilon over sweep
     values) lives in :func:`repro.harness.sweep.screened_sweep`; this
@@ -654,17 +661,31 @@ class ScreeningEngine:
     # -------------------------------------------------- analytic tier
     def profile_for(self, benchmark: str, scale: float = 1.0,
                     seed: int = DEFAULT_SEED):
-        """The (memoized) :class:`TraceProfile` for one workload point."""
-        from ..analytic import TraceProfile
-        from .runner import load_workload
+        """The (memoized) :class:`TraceProfile` for one workload point.
+
+        A profile the trace store already holds is loaded without
+        building the workload or decoding its trace; otherwise it is
+        built from the trace and stored for the next process."""
+        from .tracestore import get_trace_store, trace_store_enabled
         key = (benchmark, float(scale), int(seed))
         profile = self._profiles.get(key)
-        if profile is None:
+        if profile is not None:
+            return profile
+        store = get_trace_store() if trace_store_enabled() else None
+        if store is not None:
+            profile = store.get_profile(benchmark, scale, seed)
+        if profile is not None:
+            self.counters.bump("screen_profiles_loaded")
+        else:
+            from ..analytic import TraceProfile
+            from .runner import load_workload
             workload = load_workload(benchmark, scale, seed)
             profile = TraceProfile.from_trace(workload.trace(),
                                               name=benchmark)
-            self._profiles[key] = profile
+            if store is not None:
+                store.put_profile(benchmark, scale, seed, profile)
             self.counters.bump("screen_profiles_built")
+        self._profiles[key] = profile
         return profile
 
     def predict(self, job: Job):
@@ -685,14 +706,21 @@ class ScreeningEngine:
         """Full-simulation tier: delegate to the wrapped engine."""
         return self.full.run(jobs)
 
+    def screen_summary(self) -> str:
+        """One line: configs scored, profiles built or loaded from the
+        trace store, points promoted and pruned."""
+        counters = self.counters
+        built = counters["screen_profiles_built"]
+        loaded = counters["screen_profiles_loaded"]
+        return (f"screen: {counters['screen_configs_scored']} configs "
+                f"scored, {built + loaded} profiles ({built} built, "
+                f"{loaded} loaded), "
+                f"{counters['screen_configs_promoted']} promoted, "
+                f"{counters['screen_configs_pruned']} pruned")
+
     def summary(self) -> str:
-        scored = self.counters["screen_configs_scored"]
-        profiles = self.counters["screen_profiles_built"]
-        promoted = self.counters["screen_configs_promoted"]
-        pruned = self.counters["screen_configs_pruned"]
-        return (f"screen: {scored} configs scored ({profiles} profiles), "
-                f"{promoted} promoted, {pruned} pruned; "
-                + self.full.summary())
+        """The screening line followed by the full engine's."""
+        return self.screen_summary() + "; " + self.full.summary()
 
 
 # --------------------------------------------------------- default engine

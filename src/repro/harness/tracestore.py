@@ -31,6 +31,17 @@ cache design:
   Set ``REPRO_NO_TRACE_CACHE`` to a non-empty value to disable the
   store entirely (every run rebuilds functionally, like before).
 
+* **Profile sidecars** — the analytic screening tier's
+  :class:`~repro.analytic.profile.TraceProfile` of a trace is kept
+  beside it as ``<root>/<pkey[:2]>/<pkey>.profile.json``.  ``pkey``
+  folds the trace key together with ``PROFILE_SCHEMA_VERSION`` and a
+  digest of ``repro/analytic/profile.py``, so editing the profiler
+  invalidates stored profiles just as editing a kernel invalidates its
+  traces.  Profiles are written by the screening tier when it first
+  builds one (:meth:`TraceStore.put_profile`), never at trace-save
+  time, and a malformed or other-schema sidecar is a miss that gets
+  deleted and rebuilt.
+
 :func:`repro.harness.runner.load_workload` consults the process-wide
 default store, so engine workers deserialize the compiled trace instead
 of re-running :class:`~repro.isa.functional.FunctionalMachine`.  See
@@ -43,17 +54,23 @@ import hashlib
 import json
 import os
 import pathlib
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from ..isa.dynuop import DynUop
 from ..isa import traceio
 from .atomic import clear_store, write_atomic
+
+if TYPE_CHECKING:
+    from ..analytic import TraceProfile
 
 #: Set to a non-empty value to disable the persistent trace store.
 NO_TRACE_CACHE_ENV = "REPRO_NO_TRACE_CACHE"
 
 #: Bump to invalidate every stored trace regardless of code content.
 TRACE_STORE_VERSION = "1"
+
+#: File-name suffix of a stored analytic trace profile.
+PROFILE_SUFFIX = ".profile.json"
 
 _trace_salt_cache: Optional[str] = None
 
@@ -80,8 +97,18 @@ def trace_salt() -> str:
     return _trace_salt_cache
 
 
+def profiler_salt() -> str:
+    """Digest of the analytic profiler's source
+    (``repro/analytic/profile.py``): a stored profile is only as valid
+    as the code that computed it."""
+    from ..analytic import profile
+    source = pathlib.Path(profile.__file__).read_bytes()
+    return hashlib.sha256(source).hexdigest()[:16]
+
+
 class TraceStore:
-    """Content-addressed, crash-safe, on-disk store of compiled traces."""
+    """Content-addressed, crash-safe, on-disk store of compiled traces
+    and their analytic profiles."""
 
     def __init__(self, root: Optional[os.PathLike] = None):
         if root is None:
@@ -111,6 +138,17 @@ class TraceStore:
 
     def path_for(self, key: str) -> pathlib.Path:
         return self.root / key[:2] / f"{key}.trace"
+
+    def profile_key(self, name: str, scale: float, seed: int) -> str:
+        """Key of the trace's profile sidecar: the trace key plus the
+        profile schema version and :func:`profiler_salt`."""
+        from ..analytic import profile
+        blob = (f"{self.key(name, scale, seed)}:"
+                f"{profile.PROFILE_SCHEMA_VERSION}:{profiler_salt()}")
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+    def profile_path_for(self, key: str) -> pathlib.Path:
+        return self.root / key[:2] / f"{key}{PROFILE_SUFFIX}"
 
     # ------------------------------------------------------------ access
     def get(self, name: str, scale: float,
@@ -142,24 +180,64 @@ class TraceStore:
         write_atomic(self.path_for(self.key(name, scale, seed)),
                      traceio.dumps_trace(trace))
 
+    def get_profile(self, name: str, scale: float,
+                    seed: int) -> Optional["TraceProfile"]:
+        """The stored profile of a trace, or None on miss/corruption
+        (a malformed or other-schema sidecar is deleted, so the rebuilt
+        profile replaces it)."""
+        from ..analytic import TraceProfile
+        path = self.profile_path_for(self.profile_key(name, scale, seed))
+        try:
+            data = path.read_bytes()
+        except OSError:
+            return None
+        try:
+            return TraceProfile.from_dict(json.loads(data))
+        except (ValueError, KeyError, TypeError, AttributeError):
+            try:
+                path.unlink()
+            except OSError:
+                pass
+            return None
+
+    def put_profile(self, name: str, scale: float, seed: int,
+                    profile: "TraceProfile") -> None:
+        """Atomically persist a trace's *profile* (best-effort)."""
+        write_atomic(
+            self.profile_path_for(self.profile_key(name, scale, seed)),
+            json.dumps(profile.to_dict()).encode("utf-8"))
+
     # --------------------------------------------------------- inventory
     def entries(self) -> List[pathlib.Path]:
         if not self.root.is_dir():
             return []
         return sorted(self.root.glob("*/*.trace"))
 
+    def profile_entries(self) -> List[pathlib.Path]:
+        if not self.root.is_dir():
+            return []
+        return sorted(self.root.glob(f"*/*{PROFILE_SUFFIX}"))
+
     def stats(self) -> dict:
         entries = self.entries()
+        profiles = self.profile_entries()
         return {
             "root": str(self.root),
             "entries": len(entries),
             "bytes": sum(path.stat().st_size for path in entries),
+            "profiles": len(profiles),
+            "profile_bytes": sum(path.stat().st_size for path in profiles),
         }
 
+    def clear_profiles(self) -> int:
+        """Delete every profile sidecar and orphaned temp file; returns
+        the number of profiles removed."""
+        return clear_store(self.root, f"*{PROFILE_SUFFIX}")
+
     def clear(self) -> int:
-        """Delete every entry and orphaned temp file; returns the number
-        of entries removed."""
-        return clear_store(self.root, "*.trace")
+        """Delete every trace, profile and orphaned temp file; returns
+        the number of entries (traces plus profiles) removed."""
+        return clear_store(self.root, "*.trace") + self.clear_profiles()
 
 
 # ------------------------------------------------------- default store

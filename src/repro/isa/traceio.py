@@ -26,10 +26,16 @@ Version 1 (interleaved records) is still decoded for old trace files;
 new traces are always written as version 2.  ``exec_lat`` and
 ``exec_class`` are recomputed from the opcode on load, so traces stay
 valid if latency tables are retuned.
+
+Decoding pauses Python's cyclic garbage collector: each decoded uop is
+a GC-tracked object, so building a FULL-scale trace otherwise triggers
+repeated collections that rescan the growing list.  The uops hold only
+ints, bools and tuples of ints, so they form no cycles to collect.
 """
 
 from __future__ import annotations
 
+import gc
 import struct
 from typing import List
 
@@ -339,12 +345,18 @@ def loads_trace(data: bytes, context: str = "<bytes>") -> List[DynUop]:
     if data[:4] != MAGIC:
         raise TraceFormatError(f"{context}: not a CDFT trace file")
     (version,) = struct.unpack_from("<H", data, 4)
-    if version == 2:
-        return _loads_v2(data, context)
-    if version == 1:
+    if version not in (1, 2):
+        raise TraceFormatError(
+            f"{context}: trace version {version}, expected <= {VERSION}")
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        if version == 2:
+            return _loads_v2(data, context)
         return _loads_v1(data, context)
-    raise TraceFormatError(
-        f"{context}: trace version {version}, expected <= {VERSION}")
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def load_trace(path: str) -> List[DynUop]:

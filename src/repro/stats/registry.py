@@ -144,6 +144,7 @@ COUNTERS: Dict[str, str] = {
     # ------------------------------------------------ analytic screening
     # (repro.harness.engine.ScreeningEngine / repro.harness.sweep)
     "screen_profiles_built": "trace profiles built for analytic scoring",
+    "screen_profiles_loaded": "trace profiles loaded from the trace store",
     "screen_configs_scored": "configs scored by the analytic model",
     "screen_configs_promoted": "screened points promoted to full sim",
     "screen_configs_pruned": "screened points dropped without simulating",

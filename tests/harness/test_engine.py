@@ -101,6 +101,31 @@ def test_parallel_results_bit_identical_to_serial():
         assert left.to_json() == right.to_json()
 
 
+def test_prewarm_stops_at_the_workload_cache_capacity(monkeypatch):
+    """The parent builds only the workloads its LRU can keep for the
+    fork, the first ones submitted; results still match serial."""
+    from repro.harness import runner
+    monkeypatch.setenv("REPRO_WORKLOAD_CACHE", "2")
+    jobs = [Job(name, "baseline", scale=0.05)
+            for name in ("bzip", "lbm", "zeusmp", "wrf")]
+    serial = Engine(jobs=1, use_cache=False).run(jobs)
+    runner._workload_cache.clear()
+    loaded = []
+    real_load = runner.load_workload
+
+    def counting_load(name, scale=1.0, seed=runner.DEFAULT_SEED):
+        loaded.append(name)
+        return real_load(name, scale, seed)
+
+    monkeypatch.setattr(runner, "load_workload", counting_load)
+    parallel = Engine(jobs=2, use_cache=False).run(jobs)
+    # Workers load their own workloads in their own processes; every
+    # call counted here is the parent's prewarm.
+    assert loaded == ["bzip", "lbm"]
+    for left, right in zip(serial, parallel):
+        assert left.to_json() == right.to_json()
+
+
 # ------------------------------------------------------------- caching
 def test_cache_hit_skips_simulation(tmp_path):
     cache = ResultCache(tmp_path)

@@ -21,7 +21,10 @@ SMALL = 0.1
 
 
 # ------------------------------------------------------ ScreeningEngine
-def test_predict_scores_sim_jobs_and_counts():
+def test_predict_scores_sim_jobs_and_counts(tmp_path, monkeypatch):
+    # A private store: a profile another test left behind would be
+    # loaded rather than built.
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     screening = ScreeningEngine(full_engine=Engine(jobs=1))
     job = Job("bzip", "baseline", scale=SMALL)
     prediction = screening.predict(job)
@@ -31,6 +34,7 @@ def test_predict_scores_sim_jobs_and_counts():
     # Same workload point: the profile is memoized, the score is not.
     screening.predict(Job("bzip", "cdf", scale=SMALL))
     assert screening.counters["screen_profiles_built"] == 1
+    assert screening.counters["screen_profiles_loaded"] == 0
     assert screening.counters["screen_configs_scored"] == 2
 
 
@@ -45,7 +49,8 @@ def test_run_delegates_to_the_full_tier():
     screening = ScreeningEngine(full_engine=Engine(jobs=1))
     [result] = screening.run([Job("bzip", "baseline", scale=SMALL)])
     assert result.ipc > 0
-    assert screening.summary().startswith("screen:")
+    assert screening.summary().startswith(screening.screen_summary()
+                                          + "; engine:")
 
 
 # ------------------------------------------------------- screened_sweep

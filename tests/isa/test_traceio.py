@@ -1,5 +1,6 @@
 """Unit tests for binary trace serialisation."""
 
+import gc
 import struct
 
 import pytest
@@ -122,6 +123,47 @@ def test_empty_trace_roundtrip(tmp_path):
     path = str(tmp_path / "empty.cdft")
     save_trace([], path)
     assert load_trace(path) == []
+
+
+def _fields(uop):
+    return tuple(getattr(uop, name) for name in type(uop).__slots__)
+
+
+@pytest.mark.parametrize("gc_enabled", [True, False],
+                         ids=["gc-on", "gc-off"])
+def test_decode_pauses_gc_and_restores_the_callers_state(monkeypatch,
+                                                         gc_enabled):
+    """Uops are built with the cyclic GC paused; the caller's GC state
+    comes back after a valid decode and after a corrupt one."""
+    _, trace = sample_trace()
+    data = dumps_trace(trace)
+    real_dynuop = traceio.DynUop
+    gc_during_build = []
+    fail_at = [None]
+
+    def spy(**fields):
+        gc_during_build.append(gc.isenabled())
+        if fields["seq"] == fail_at[0]:
+            raise KeyError("corrupt opcode")
+        return real_dynuop(**fields)
+
+    monkeypatch.setattr(traceio, "DynUop", spy)
+    (gc.enable if gc_enabled else gc.disable)()
+    try:
+        loaded = traceio.loads_trace(data)
+        assert gc.isenabled() is gc_enabled
+        fail_at[0] = 3                    # corrupt midway through
+        with pytest.raises(TraceFormatError, match="at uop 3"):
+            traceio.loads_trace(data)
+        assert gc.isenabled() is gc_enabled
+        with pytest.raises(TraceFormatError):
+            traceio.loads_trace(data[:len(data) // 2])
+        assert gc.isenabled() is gc_enabled
+    finally:
+        gc.enable()
+    assert gc_during_build and not any(gc_during_build)
+    assert [_fields(uop) for uop in loaded] == \
+        [_fields(uop) for uop in trace]
 
 
 def test_current_format_is_v2_columnar():
